@@ -1512,8 +1512,10 @@ fn synthetic_map(n: u32) -> bdrmap_core::BorderMap {
 /// `--iters` times and the minimum is reported — the same phase split
 /// bdrmapd's Reload RPC reports as `load_us`/`build_us`. Writes
 /// `--json` (default BENCH_reload.json) and asserts the contract the
-/// v3 layout exists to provide: at the largest size, the v3 build
-/// phase is at least 10x cheaper than the v2 one.
+/// v3 layout exists to provide, at the largest size: the v3 build
+/// phase is at least 10x cheaper than the v2 one, and the whole v3
+/// reload (load + build) is cheaper than the whole v2 reload, so work
+/// moved from the build phase into the load phase cannot pass.
 pub fn bench_reload(args: &Args) -> Result<(), ArgError> {
     use bdrmap_core::{flat, snapshot, QueryIndex};
     let out = args.get("json").unwrap_or("BENCH_reload.json");
@@ -1623,11 +1625,20 @@ pub fn bench_reload(args: &Args) -> Result<(), ArgError> {
     // The headline contract, pinned at the largest benched size: a v3
     // swap re-validates in place instead of rebuilding, so its build
     // phase must be at least 10x cheaper than the heap rebuild.
-    let &(n, _, v2_build_us, _, v3_build_us) = printed.last().unwrap();
+    let &(n, v2_load_us, v2_build_us, v3_load_us, v3_build_us) = printed.last().unwrap();
     if v2_build_us < 10 * v3_build_us.max(1) {
         return Err(ArgError(format!(
             "at {n} routers the v3 build phase ({v3_build_us} us) is not 10x \
              cheaper than the v2 rebuild ({v2_build_us} us)"
+        )));
+    }
+    // The totals gate: a cheaper build phase proves nothing if the work
+    // only moved into the load phase.
+    let (v2_total, v3_total) = (v2_load_us + v2_build_us, v3_load_us + v3_build_us);
+    if v3_total >= v2_total {
+        return Err(ArgError(format!(
+            "at {n} routers a v3 reload ({v3_total} us load + build) is not \
+             cheaper than a v2 reload ({v2_total} us)"
         )));
     }
     Ok(())
@@ -2288,21 +2299,21 @@ pub fn chaos(args: &Args) -> Result<(), ArgError> {
                         if out.rolled_back() {
                             rollbacks += 1;
                         }
-                        if snapshot::encode_as(&out.map, snap_version).as_deref()
+                        let generation = out.generation;
+                        if snapshot::encode_as(&out.into_map(), snap_version).as_deref()
                             != Ok(baseline_bytes.as_slice())
                         {
                             violations.push(format!(
                                 "publish round {round}: store served a non-baseline map after the failure"
                             ));
                         }
-                        if out.generation < last_gen {
+                        if generation < last_gen {
                             monotone = false;
                             violations.push(format!(
-                                "publish round {round}: recovery regressed to generation {} below {last_gen}",
-                                out.generation
+                                "publish round {round}: recovery regressed to generation {generation} below {last_gen}"
                             ));
                         }
-                        last_gen = out.generation;
+                        last_gen = generation;
                     }
                     Err(e) => violations.push(format!(
                         "publish round {round}: store unrecoverable after failed publish: {e}"
@@ -2508,9 +2519,9 @@ pub fn chaos(args: &Args) -> Result<(), ArgError> {
     let converged = match store_clean.load_verified() {
         Ok(out) => {
             out.generation == last_gen
-                && snapshot::encode_as(&out.map, snap_version).as_deref()
-                    == Ok(baseline_bytes.as_slice())
                 && !out.rolled_back()
+                && snapshot::encode_as(&out.into_map(), snap_version).as_deref()
+                    == Ok(baseline_bytes.as_slice())
         }
         Err(_) => false,
     };

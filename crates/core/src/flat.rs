@@ -42,8 +42,9 @@
 //!
 //! The trie section stores only the router-derived `/32` entries; the
 //! serving layer's configured prefix-owner overlay stays out of the
-//! file and is rebuilt as a small side trie at view-open, with the file
-//! trie winning ties exactly as a merged heap build would.
+//! file. It is an [`Overlay`], built once and shared by every view a
+//! server opens, with the file trie winning ties exactly as a merged
+//! heap build would.
 //!
 //! Integrity and structure are validated once, at open, in two stages:
 //! [`verify_integrity`] checks magic, version, exact length, and every
@@ -59,6 +60,7 @@ use crate::snapshot::SnapshotError;
 use crate::QueryIndex;
 use bdrmap_types::integrity::crc32c;
 use bdrmap_types::{addr, addr_bits, Addr, Asn, Prefix, PrefixTrie};
+use std::sync::Arc;
 
 /// Snapshot format version this module implements.
 pub const VERSION: u16 = 3;
@@ -311,8 +313,8 @@ pub fn encode_v3(map: &BorderMap) -> Result<Vec<u8>, SnapshotError> {
 /// Stage one of opening a v3 file: magic, version, exact length, and
 /// every checksum — the codec-level integrity the v1/v2 `decode` paths
 /// perform. Returns the derived [`Layout`] on success. Structural
-/// validation (the index-level trust pass) is stage two, in
-/// [`V3View::from_verified`].
+/// validation (the index-level trust pass) is stage two,
+/// [`validate_structure`].
 pub fn verify_integrity(data: &[u8]) -> Result<Layout, SnapshotError> {
     if data.len() < 4 || &data[..4] != b"BDRM" {
         return Err(SnapshotError::BadMagic);
@@ -354,6 +356,38 @@ pub fn verify_integrity(data: &[u8]) -> Result<Layout, SnapshotError> {
     Ok(lay)
 }
 
+/// The serving layer's configured prefix-owner overlay, as the trie a
+/// [`V3View`] consults under its file trie. It never changes while a
+/// server runs, so the server builds it once and every view it opens
+/// shares it through an [`Arc`].
+pub struct Overlay {
+    trie: PrefixTrie<Asn>,
+    /// Network addresses of the trie's `/32` entries: the only
+    /// prefixes a file router can shadow. Taken from the built trie,
+    /// so duplicate configured prefixes count once.
+    hosts: Vec<Addr>,
+}
+
+impl Overlay {
+    /// Build the overlay. A prefix configured twice keeps its last
+    /// owner, as repeated inserts into a heap build's trie do.
+    pub fn new(prefixes: impl IntoIterator<Item = (Prefix, Asn)>) -> Overlay {
+        let trie: PrefixTrie<Asn> = prefixes.into_iter().collect();
+        let hosts = trie
+            .iter()
+            .filter(|(p, _)| p.len() == 32)
+            .map(|(p, _)| p.network())
+            .collect();
+        Overlay { trie, hosts }
+    }
+
+    /// Every `(prefix, owner)` entry, once each: the input a heap
+    /// [`QueryIndex::build_with_prefixes`] needs for the same overlay.
+    pub fn entries(&self) -> impl Iterator<Item = (Prefix, Asn)> + '_ {
+        self.trie.iter().map(|(p, &asn)| (p, asn))
+    }
+}
+
 /// A zero-copy query index over verified v3 snapshot bytes.
 ///
 /// Answers byte-identically to a heap [`QueryIndex`] built from the
@@ -365,9 +399,9 @@ pub struct V3View {
     lay: Layout,
     packets: u64,
     elapsed_ms: u64,
-    /// Configured prefix-owner overlay, rebuilt per open; the file trie
-    /// wins ties, exactly as a merged heap build would.
-    side: PrefixTrie<Asn>,
+    /// Configured prefix-owner overlay, shared across views; the file
+    /// trie wins ties, exactly as a merged heap build would.
+    side: Arc<Overlay>,
     /// Router-valued nodes in the file trie.
     trie_values: u32,
     /// Side `/32` prefixes exactly shadowed by a file `Router` node —
@@ -379,7 +413,7 @@ pub struct V3View {
 /// Proof token returned by [`validate_structure`]: evidence the
 /// structural pass ran, carrying the one figure it derives (the file
 /// trie's router-valued node count) so view assembly in
-/// [`V3View::from_validated`] never repeats the scan.
+/// [`V3View::with_overlay`] never repeats the scan.
 #[derive(Clone, Copy, Debug)]
 pub struct Validated {
     trie_values: u32,
@@ -391,7 +425,8 @@ pub struct Validated {
 /// stages are the v3 analogue of a v1/v2 `decode`: everything a reader
 /// must check before trusting the bytes, charged to the *load* phase
 /// of a reload. What is left for the build phase
-/// ([`V3View::from_validated`]) is only overlay assembly.
+/// ([`V3View::with_overlay`]) is counting the overlay `/32`s the file
+/// shadows.
 pub fn validate_structure(data: &[u8], lay: &Layout) -> Result<Validated, SnapshotError> {
     let d = data;
     let bad = Err(SnapshotError::Malformed);
@@ -599,23 +634,26 @@ impl V3View {
     }
 
     /// Assemble a view over bytes that already passed both
-    /// [`verify_integrity`] and [`validate_structure`]. This is the
-    /// whole *build* cost of a v3 reload — insert the configured
-    /// overlay prefixes into a small side trie and count the `/32`s the
-    /// file trie shadows — so it is near-zero and independent of map
-    /// size, which is the point of the flat layout.
+    /// [`verify_integrity`] and [`validate_structure`], building the
+    /// overlay from `prefixes`. Servers build their overlay once and
+    /// call [`V3View::with_overlay`] instead.
     pub fn from_validated(
         data: Vec<u8>,
         lay: Layout,
         ok: Validated,
         prefixes: impl IntoIterator<Item = (Prefix, Asn)>,
     ) -> V3View {
+        V3View::with_overlay(data, lay, ok, Arc::new(Overlay::new(prefixes)))
+    }
+
+    /// Assemble a view over checked bytes and a shared, already-built
+    /// overlay. This is the whole *build* cost of a v3 reload — count
+    /// the overlay `/32`s the file trie shadows, one 32-step walk each
+    /// — so it is near-zero and independent of map size, which is the
+    /// point of the flat layout.
+    pub fn with_overlay(data: Vec<u8>, lay: Layout, ok: Validated, side: Arc<Overlay>) -> V3View {
         let packets = u64_at(&data, PREAMBLE);
         let elapsed_ms = u64_at(&data, PREAMBLE + 8);
-        let mut side = PrefixTrie::new();
-        for (p, asn) in prefixes {
-            side.insert(p, asn);
-        }
         let mut view = V3View {
             data,
             lay,
@@ -627,8 +665,9 @@ impl V3View {
         };
         view.shadowed = view
             .side
+            .hosts
             .iter()
-            .filter(|(p, _)| p.len() == 32 && view.file_router_at(p.network()).is_some())
+            .filter(|&&a| view.file_router_at(a).is_some())
             .count() as u32;
         view
     }
@@ -724,7 +763,7 @@ impl V3View {
                 None => break,
             }
         }
-        let side = self.side.lookup(a);
+        let side = self.side.trie.lookup(a);
         match (best, side) {
             // A deeper overlay prefix outranks the file match; at equal
             // depth the file's router wins, exactly as a Router entry
@@ -835,12 +874,12 @@ impl V3View {
     /// Number of merged trie entries (file `/32`s plus overlay prefixes,
     /// counting a shadowed pair once) — matches the heap build's figure.
     pub fn num_prefixes(&self) -> u32 {
-        self.trie_values + self.side.len() as u32 - self.shadowed
+        self.trie_values + self.side.trie.len() as u32 - self.shadowed
     }
 
     /// Number of coarse prefix-owner entries layered under the routers.
     pub fn num_prefix_owners(&self) -> u32 {
-        self.side.len() as u32
+        self.side.trie.len() as u32
     }
 
     /// Neighbor ASes with at least one link, ascending.

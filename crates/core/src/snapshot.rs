@@ -329,6 +329,32 @@ pub fn decode(data: &[u8]) -> Result<BorderMap, SnapshotError> {
     }
 }
 
+/// What a full read check of snapshot bytes proved, in the form the
+/// next step needs. v1/v2 files are checked by decoding them, so the
+/// decoded map comes back. A v3 file is checked in place (every
+/// checksum, then the structural pass), so its layout and proof come
+/// back, and a [`V3View`](crate::flat::V3View) opens over the same
+/// bytes without checking them again.
+#[derive(Debug)]
+pub enum Verified {
+    /// A v1/v2 file, decoded.
+    Map(BorderMap),
+    /// A v3 file: its layout and the structural-validation proof.
+    Flat(crate::flat::Layout, crate::flat::Validated),
+}
+
+/// Accept or reject `data` exactly as [`decode`] does, but without
+/// materialising a v3 file as a [`BorderMap`]: readers that serve the
+/// bytes as a view pay each check once and no decode.
+pub fn verify(data: &[u8]) -> Result<Verified, SnapshotError> {
+    if version_of(data) == Some(crate::flat::VERSION) {
+        let lay = crate::flat::verify_integrity(data)?;
+        let ok = crate::flat::validate_structure(data, &lay)?;
+        return Ok(Verified::Flat(lay, ok));
+    }
+    decode(data).map(Verified::Map)
+}
+
 /// v1: sections follow each other with no checksums.
 fn decode_v1_body(data: &[u8], mut r: WireReader) -> Result<BorderMap, SnapshotError> {
     let packets = r.get_u64()?;

@@ -12,7 +12,8 @@
 //! The load path is where the crash safety pays off:
 //! [`load_verified`](SnapStore::load_verified) starts from the manifest
 //! generation and walks *backwards* on failure. A snapshot that fails
-//! to decode (bad magic, failed CRC, truncation) is quarantined into
+//! verification (bad magic, failed CRC, truncation, a v3 file whose
+//! structure is inconsistent) is quarantined into
 //! `corrupt/` — preserving the evidence without leaving a landmine on
 //! the load path — and the previous generation is tried, so a single
 //! bad publish degrades service to the last good map instead of taking
@@ -27,7 +28,7 @@
 //! land in the [`Registry`] the store was opened with.
 
 use crate::output::BorderMap;
-use crate::snapshot;
+use crate::snapshot::{self, Verified};
 use bdrmap_obs::Registry;
 use bdrmap_types::Vfs;
 use std::io;
@@ -96,18 +97,20 @@ pub struct Quarantined {
     pub reason: String,
 }
 
-/// The result of a verified load: the map, where it came from, and what
-/// had to be thrown out along the way.
+/// The result of a verified load: the checked bytes, what the check
+/// proved, where they came from, and what had to be thrown out along
+/// the way.
 #[derive(Debug)]
 pub struct LoadOutcome {
-    /// The verified-good border map.
-    pub map: BorderMap,
-    /// The exact on-disk bytes the map was decoded from. A v3 consumer
-    /// can open a zero-copy view over these instead of re-reading the
+    /// The exact on-disk bytes that passed verification. A v3 consumer
+    /// opens a zero-copy view over these instead of re-reading the
     /// file (and racing a concurrent republish).
     pub bytes: Vec<u8>,
-    /// The snapshot format version of `bytes`.
-    pub version: u16,
+    /// What verification proved: the decoded map of a v1/v2 file, or
+    /// the layout and structural proof of a v3 file, from which
+    /// [`V3View::with_overlay`](crate::flat::V3View::with_overlay)
+    /// opens the view without checking the bytes again.
+    pub verified: Verified,
     /// The generation it was loaded from.
     pub generation: u64,
     /// Generations quarantined during this load, newest first. Empty on
@@ -119,6 +122,20 @@ impl LoadOutcome {
     /// True when the load had to fall back past a bad generation.
     pub fn rolled_back(&self) -> bool {
         !self.quarantined.is_empty()
+    }
+
+    /// The loaded snapshot as a [`BorderMap`]. A v1/v2 load already
+    /// holds it; a v3 load reconstructs it from a view over the checked
+    /// bytes, which is a full decode's worth of allocation, so serving
+    /// paths open the view instead.
+    pub fn into_map(self) -> BorderMap {
+        match self.verified {
+            Verified::Map(map) => map,
+            Verified::Flat(lay, ok) => {
+                crate::flat::V3View::from_validated(self.bytes, lay, ok, std::iter::empty())
+                    .to_border_map()
+            }
+        }
     }
 }
 
@@ -268,7 +285,8 @@ impl SnapStore {
     }
 
     /// Publish `map` as the next generation: write it atomically, read
-    /// it back and verify every checksum, and only then advance the
+    /// it back and verify it exactly as a load would (every checksum,
+    /// and for v3 the structural pass), and only then advance the
     /// manifest. Returns the new generation number. Errors carry the
     /// offending path.
     pub fn publish(&self, map: &BorderMap) -> io::Result<u64> {
@@ -282,11 +300,11 @@ impl SnapStore {
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
         self.vfs.write_atomic(&path, &encoded).map_err(at)?;
         // Read-back verification: never point the manifest at bytes
-        // that were not proven decodable from disk. The read goes
-        // through the seam too, so injected torn renames and bit-rot
-        // are caught *here*, before the manifest moves.
+        // that a load would refuse. The read goes through the seam
+        // too, so injected torn renames and bit-rot are caught *here*,
+        // before the manifest moves.
         let bytes = self.vfs.read(&path).map_err(at)?;
-        snapshot::decode(&bytes).map_err(|e| {
+        snapshot::verify(&bytes).map_err(|e| {
             io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("{}: read-back verification failed: {e}", path.display()),
@@ -325,7 +343,9 @@ impl SnapStore {
     }
 
     /// Load the newest verified-good snapshot, quarantining and rolling
-    /// past any generation that fails to decode. On success the
+    /// past any generation that fails [`snapshot::verify`]. Each check
+    /// runs once: a v3 generation is checksummed and structurally
+    /// validated in place, never copied or decoded. On success the
     /// manifest is re-pointed at the generation actually served, so the
     /// next load does not re-tread the bad path.
     pub fn load_verified(&self) -> Result<LoadOutcome, StoreError> {
@@ -347,12 +367,12 @@ impl SnapStore {
                 .read(&path)
                 .map_err(|e| format!("read {}: {e}", path.display()))
                 .and_then(|bytes| {
-                    snapshot::decode(&bytes)
-                        .map(|map| (map, bytes))
+                    snapshot::verify(&bytes)
+                        .map(|verified| (verified, bytes))
                         .map_err(|e| format!("{}: {e}", path.display()))
                 });
             match verified {
-                Ok((map, bytes)) => {
+                Ok((verified, bytes)) => {
                     if self.manifest_generation() != Some(gen) {
                         self.write_manifest(gen)?;
                     }
@@ -365,12 +385,9 @@ impl SnapStore {
                         .gauge("bdrmap_snapstore_generation", &[])
                         .set(gen);
                     self.refresh_gauges();
-                    // decode() succeeded, so the preamble is present.
-                    let version = snapshot::version_of(&bytes).unwrap_or(0);
                     return Ok(LoadOutcome {
-                        map,
                         bytes,
-                        version,
+                        verified,
                         generation: gen,
                         quarantined,
                     });
@@ -462,8 +479,8 @@ mod tests {
         assert_eq!(store.manifest_generation(), Some(2));
         let out = store.load_verified().unwrap();
         assert_eq!(out.generation, 2);
-        assert_eq!(out.map.packets, 2);
         assert!(!out.rolled_back());
+        assert_eq!(out.into_map().packets, 2);
         assert_eq!(store.generations().unwrap(), vec![1, 2]);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -482,10 +499,10 @@ mod tests {
 
         let out = store.load_verified().unwrap();
         assert_eq!(out.generation, 1);
-        assert_eq!(out.map.packets, 1);
         assert!(out.rolled_back());
         assert_eq!(out.quarantined.len(), 1);
         assert_eq!(out.quarantined[0].generation, 2);
+        assert_eq!(out.into_map().packets, 1);
         // The bad file moved to corrupt/, and the manifest self-healed.
         assert!(!path.exists());
         assert!(dir.join(CORRUPT_DIR).join("gen-000002.bdrm").exists());
@@ -653,7 +670,7 @@ mod tests {
         let g = store.publish(&sample(999)).unwrap();
         let out = store.load_verified().unwrap();
         assert_eq!(out.generation, g);
-        assert_eq!(out.map.packets, 999);
+        assert_eq!(out.into_map().packets, 999);
         std::fs::remove_dir_all(&dir).ok();
     }
 

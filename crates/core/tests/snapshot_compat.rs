@@ -16,9 +16,10 @@ use bdrmap_core::{
 use bdrmap_dataplane::DataPlane;
 use bdrmap_probe::{run_traces, EngineConfig, ProbeEngine, RunOptions};
 use bdrmap_topo::{generate, AsKind, TopoConfig};
-use bdrmap_types::integrity::crc32c;
 use bdrmap_types::{addr, addr_bits, Asn, Prefix};
 use std::sync::Arc;
+
+mod crafted;
 
 fn a(s: &str) -> bdrmap_types::Addr {
     s.parse().unwrap()
@@ -240,6 +241,34 @@ fn answers_identical_across_versions_on_the_crafted_map() {
     assert_same_answers(&bare, &bare_view, &map, "crafted bare view");
 }
 
+/// A server builds its overlay once and every view it opens shares it.
+/// Shared views answer like a heap build over the configured list,
+/// duplicates included: a prefix configured twice keeps its last owner
+/// and counts once, and a twice-configured `/32` under a router is
+/// shadowed once.
+#[test]
+fn views_sharing_one_overlay_answer_like_a_heap_build() {
+    let map = crafted_map();
+    let mut over = overlay(&map);
+    let dupes: Vec<(Prefix, Asn)> = over.iter().map(|&(p, asn)| (p, Asn(asn.0 + 7))).collect();
+    over.extend(dupes);
+    over.push((Prefix::new(a("198.18.0.9"), 32), Asn(64777)));
+    let reference = QueryIndex::build_with_prefixes(&map, over.iter().copied());
+
+    let shared = Arc::new(flat::Overlay::new(over.iter().copied()));
+    let from_entries = QueryIndex::build_with_prefixes(&map, shared.entries());
+    assert_same_answers(&reference, &from_entries, &map, "heap over overlay entries");
+    let bytes = snapshot::encode_v3(&map).unwrap();
+    for round in 0..2 {
+        let lay = flat::verify_integrity(&bytes).unwrap();
+        let ok = flat::validate_structure(&bytes, &lay).unwrap();
+        let view = V3View::with_overlay(bytes.clone(), lay, ok, Arc::clone(&shared));
+        assert_same_answers(&reference, &view, &map, &format!("shared view {round}"));
+    }
+    let own = V3View::open(bytes, over.iter().copied()).unwrap();
+    assert_same_answers(&reference, &own, &map, "view with its own overlay");
+}
+
 #[test]
 fn every_version_round_trips_to_a_canonical_fixed_point() {
     let (map, _input) = pipeline_map(906);
@@ -342,54 +371,7 @@ fn trie_entry_at_ownerless_router_is_rejected_at_open() {
     // with section + footer CRCs recomputed so only the structural
     // validation pass can catch it. The old read path `expect`ed the
     // owner at query time; the contract now is rejection at open.
-    let map = BorderMap {
-        routers: vec![
-            InferredRouter {
-                addrs: vec![a("10.0.0.1")],
-                other_addrs: vec![],
-                owner: Some(Asn(100)),
-                heuristic: Some(Heuristic::VpInternal),
-                min_hop: 1,
-            },
-            InferredRouter {
-                addrs: vec![a("10.0.0.2")],
-                other_addrs: vec![],
-                owner: None,
-                heuristic: None,
-                min_hop: 2,
-            },
-        ],
-        links: vec![InferredLink {
-            near: 0,
-            far: Some(1),
-            far_as: Asn(200),
-            near_addr: Some(a("10.0.0.1")),
-            far_addr: Some(a("10.0.0.2")),
-            heuristic: Heuristic::OneNet,
-        }],
-        packets: 0,
-        elapsed_ms: 0,
-    };
-    let bytes = snapshot::encode_v3(&map).unwrap();
-    let lay = flat::verify_integrity(&bytes).unwrap();
-
-    let mut evil = bytes.clone();
-    let node = (0..lay.n_trie)
-        .find(|i| {
-            let at = lay.trie + i * 12 + 8;
-            u32::from_le_bytes(evil[at..at + 4].try_into().unwrap()) != u32::MAX
-        })
-        .expect("an owned router must have a trie entry");
-    let at = lay.trie + node * 12 + 8;
-    evil[at..at + 4].copy_from_slice(&1u32.to_le_bytes());
-
-    // Re-seal the file: trie section CRC, then the whole-file footer.
-    let trie_end = lay.trie + lay.n_trie * 12;
-    let crc = crc32c(&evil[lay.trie..trie_end]);
-    evil[trie_end..trie_end + 4].copy_from_slice(&crc.to_le_bytes());
-    let foot = evil.len() - 4;
-    let crc = crc32c(&evil[..foot]);
-    evil[foot..].copy_from_slice(&crc.to_le_bytes());
+    let evil = crafted::trie_entry_at_ownerless_router();
 
     // Checksums now pass — the integrity stage must accept the bytes —
     // but the structural stage refuses the file, and no panic escapes.
@@ -399,4 +381,9 @@ fn trie_entry_at_ownerless_router_is_rejected_at_open() {
         Err(snapshot::SnapshotError::Malformed)
     ));
     assert!(snapshot::decode(&evil).is_err());
+    // The store's check-in-place path refuses it the same way.
+    assert!(matches!(
+        snapshot::verify(&evil),
+        Err(snapshot::SnapshotError::Malformed)
+    ));
 }

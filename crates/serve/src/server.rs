@@ -9,11 +9,12 @@
 //! of unbounded queueing.
 //!
 //! Snapshots are hot-swappable. A `Reload` control frame makes the
-//! handling worker build the next index — off the other workers' hot
-//! path — and publish it with an atomic pointer swap ([`SwapCell`]):
+//! worker (or event loop) that read it load, check and build the next
+//! index, and publish it with an atomic pointer swap ([`SwapCell`]):
 //! readers that already loaded the old `Arc` finish their in-flight
 //! queries on it, and every later query sees the new snapshot. No
-//! reader ever takes a lock.
+//! reader ever takes a lock; reloads take one among themselves, so
+//! they land in the order they loaded.
 //!
 //! Robustness layers (see [`conn`](crate::conn) and
 //! [`reload`](crate::reload)):
@@ -35,7 +36,9 @@ use crate::conn::{
 };
 use crate::proto::{HealthInfo, Request, Response, Stats};
 use crate::reload::Breaker;
-use bdrmap_core::{flat, snapshot, AnyIndex, BorderMap, QueryIndex, QueryRead, SnapStore};
+use bdrmap_core::flat::{self, Overlay};
+use bdrmap_core::snapshot::{self, Verified};
+use bdrmap_core::{AnyIndex, BorderMap, QueryIndex, QueryRead, SnapStore};
 use bdrmap_obs::{Counter, Histogram, Registry};
 use bdrmap_types::wire::{read_frame, write_frame, MAX_FRAME};
 use bdrmap_types::{Asn, Prefix, SwapCell, SwapReader, Vfs};
@@ -363,11 +366,15 @@ pub(crate) struct Shared {
     pub(crate) cell: Arc<SwapCell<AnyIndex>>,
     /// Reload accounting; see [`ReloadInfo`].
     reload_info: SwapCell<ReloadInfo>,
-    /// Orders concurrent reload publications so a slower reload cannot
-    /// overwrite a newer triple with a stale one.
-    reload_publish: Mutex<()>,
+    /// Held by one reload attempt from its load through the swap to
+    /// its [`ReloadInfo`] publication. Without it, two loops reloading
+    /// at once could swap an older store generation in after a newer
+    /// one, and the older one would even get the higher swap epoch.
+    reload_lock: Mutex<()>,
     pub(crate) stop: AtomicBool,
-    prefix_owners: Vec<(Prefix, Asn)>,
+    /// The configured prefix-owner overlay, built once at start and
+    /// shared by every index this server builds.
+    overlay: Arc<Overlay>,
     pub(crate) limits: ConnLimits,
     breaker: Mutex<Breaker>,
     store: Option<SnapStore>,
@@ -435,17 +442,21 @@ impl Shared {
             recovered_batches: self.recovered_batches.load(Ordering::Relaxed),
         }
     }
+}
 
-    /// Publish a finished reload's triple, dropping it if a newer
-    /// reload already published (generations are swap epochs, so
-    /// "newer" is well-defined even across concurrent reloads).
-    fn publish_reload(&self, info: ReloadInfo) {
-        let _g = self
-            .reload_publish
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        if self.reload_info.load_locked().generation < info.generation {
-            self.reload_info.store(Arc::new(info));
+/// Stand up the query index over checked snapshot bytes: a v3 file is
+/// served zero-copy over the shared overlay; a decoded v1/v2 map gets a
+/// heap index with the same overlay.
+fn index_over(bytes: Vec<u8>, verified: Verified, overlay: &Arc<Overlay>) -> AnyIndex {
+    match verified {
+        Verified::Flat(lay, ok) => AnyIndex::View(flat::V3View::with_overlay(
+            bytes,
+            lay,
+            ok,
+            Arc::clone(overlay),
+        )),
+        Verified::Map(map) => {
+            AnyIndex::Heap(QueryIndex::build_with_prefixes(&map, overlay.entries()))
         }
     }
 }
@@ -468,11 +479,9 @@ pub struct Server {
 impl Server {
     /// Build the initial index from `map` and start serving.
     pub fn start(map: &BorderMap, cfg: ServeConfig) -> io::Result<Server> {
-        let index = AnyIndex::Heap(QueryIndex::build_with_prefixes(
-            map,
-            cfg.prefix_owners.iter().copied(),
-        ));
-        Server::start_inner(index, cfg, ServerMetrics::new(), None, 0)
+        let overlay = Arc::new(Overlay::new(cfg.prefix_owners.iter().copied()));
+        let index = AnyIndex::Heap(QueryIndex::build_with_prefixes(map, overlay.entries()));
+        Server::start_inner(index, overlay, cfg, ServerMetrics::new(), None, 0)
     }
 
     /// Load the newest verified-good generation from the snapshot store
@@ -494,23 +503,25 @@ impl Server {
                 outcome.generation
             );
         }
-        // A v3 generation is served zero-copy: the verified bytes the
-        // store just read back *are* the index. Older versions rebuild
-        // the heap index from the decoded map.
-        let index = match outcome.version {
-            flat::VERSION => flat::V3View::open(outcome.bytes, cfg.prefix_owners.iter().copied())
-                .map(AnyIndex::View)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?,
-            _ => AnyIndex::Heap(QueryIndex::build_with_prefixes(
-                &outcome.map,
-                cfg.prefix_owners.iter().copied(),
-            )),
-        };
-        Server::start_inner(index, cfg, metrics, Some(store), outcome.generation)
+        // A v3 generation is served zero-copy: the bytes the store just
+        // verified *are* the index, opened from the store's proof
+        // without a second check. Older versions rebuild the heap index
+        // from the decoded map.
+        let overlay = Arc::new(Overlay::new(cfg.prefix_owners.iter().copied()));
+        let index = index_over(outcome.bytes, outcome.verified, &overlay);
+        Server::start_inner(
+            index,
+            overlay,
+            cfg,
+            metrics,
+            Some(store),
+            outcome.generation,
+        )
     }
 
     fn start_inner(
         index: AnyIndex,
+        overlay: Arc<Overlay>,
         cfg: ServeConfig,
         metrics: ServerMetrics,
         store: Option<SnapStore>,
@@ -540,9 +551,9 @@ impl Server {
         let shared = Arc::new(Shared {
             cell,
             reload_info,
-            reload_publish: Mutex::new(()),
+            reload_lock: Mutex::new(()),
             stop: AtomicBool::new(false),
-            prefix_owners: cfg.prefix_owners.clone(),
+            overlay,
             limits: cfg.limits(),
             breaker: Mutex::new(Breaker::new(cfg.breaker_threshold, cfg.breaker_cooldown)),
             store,
@@ -993,9 +1004,13 @@ enum ReloadSource<'a> {
 }
 
 /// Build the next index and publish it, behind the circuit breaker and
-/// a bounded retry loop. Runs on the worker that received the control
-/// frame, so the other workers keep serving the old snapshot until the
-/// swap lands.
+/// a bounded retry loop. Runs on the thread that read the control
+/// frame, so a reload is not free for readers. Under the threads
+/// backend the other workers keep serving the old snapshot until the
+/// swap lands. Under epoll it runs inline on the event loop that read
+/// the frame, and every connection on that loop stalls until the
+/// reload finishes; a loop that reads a `Reload` while another reload
+/// is in progress also waits for it, since reloads are serialised.
 fn reload(shared: &Shared, path: &str) -> Response {
     let source = if path.is_empty() {
         if shared.store.is_none() {
@@ -1043,66 +1058,42 @@ fn reload(shared: &Shared, path: &str) -> Response {
 }
 
 fn reload_once(shared: &Shared, source: &ReloadSource<'_>) -> Result<Response, String> {
-    // Load phase: raw bytes plus integrity (the store's read-back
-    // verification, or the file path's checksums below).
-    let (bytes, store_gen) = match source {
-        ReloadSource::File(path) => {
-            let bytes = std::fs::read(std::path::Path::new(path))
-                .map_err(|e| format!("load {path}: {e}"))?;
-            (bytes, None)
+    // One attempt at a time, from the load to the `ReloadInfo`
+    // publication; see `Shared::reload_lock`.
+    let _serial = shared.reload_lock.lock().unwrap_or_else(|e| e.into_inner());
+    // Load phase: read the bytes and run every check a reader owes
+    // them, each once (v1/v2 `decode`; v3 checksums plus the structural
+    // pass, with no decode and no copy). Under `catch_unwind`: a check
+    // that panics must not kill the worker thread; the old index stays
+    // live and the reload counts as a failed attempt.
+    let (bytes, verified, store_gen) = catch_unwind(AssertUnwindSafe(|| -> Result<_, String> {
+        match source {
+            ReloadSource::File(path) => {
+                let bytes = std::fs::read(std::path::Path::new(path))
+                    .map_err(|e| format!("load {path}: {e}"))?;
+                let verified =
+                    snapshot::verify(&bytes).map_err(|e| format!("verify {path}: {e}"))?;
+                Ok((bytes, verified, None))
+            }
+            ReloadSource::Store => {
+                let store = shared.store.as_ref().expect("source checked by caller");
+                let outcome = store.load_verified().map_err(|e| format!("store: {e}"))?;
+                Ok((outcome.bytes, outcome.verified, Some(outcome.generation)))
+            }
         }
-        ReloadSource::Store => {
-            let store = shared.store.as_ref().expect("source checked by caller");
-            let outcome = store.load_verified().map_err(|e| format!("store: {e}"))?;
-            (outcome.bytes, Some(outcome.generation))
-        }
-    };
-    // Build phase, under `catch_unwind`: a panicking index build (or
-    // validation pass) must not kill the worker thread or leak a
-    // half-built snapshot; the old index stays live and the reload
-    // counts as a failed attempt. The phase accounting is symmetric
-    // across versions: everything a reader must check before trusting
-    // the bytes is *load* (v1/v2 `decode`; v3 integrity + structural
-    // validation), and `build_us` is what it costs to stand up the
-    // query structures afterwards. v2 pays a full index rebuild there;
-    // v3 only assembles the configured prefix overlay, which is why v3
-    // reloads report near-zero `build_us` independent of map size.
-    let (next, build_us) = match snapshot::version_of(&bytes) {
-        Some(flat::VERSION) => {
-            let layout = flat::verify_integrity(&bytes).map_err(|e| format!("verify v3: {e}"))?;
-            let proof = catch_unwind(AssertUnwindSafe(|| {
-                flat::validate_structure(&bytes, &layout)
-            }))
-            .map_err(|_| "snapshot validation panicked".to_string())?
-            .map_err(|e| format!("validate v3: {e}"))?;
-            let build_start = Instant::now();
-            let view = catch_unwind(AssertUnwindSafe(|| {
-                flat::V3View::from_validated(
-                    bytes,
-                    layout,
-                    proof,
-                    shared.prefix_owners.iter().copied(),
-                )
-            }))
-            .map_err(|_| "snapshot view assembly panicked".to_string())?;
-            (
-                AnyIndex::View(view),
-                build_start.elapsed().as_micros() as u64,
-            )
-        }
-        _ => {
-            let map = snapshot::decode(&bytes).map_err(|e| format!("decode: {e}"))?;
-            let build_start = Instant::now();
-            let idx = catch_unwind(AssertUnwindSafe(|| {
-                QueryIndex::build_with_prefixes(&map, shared.prefix_owners.iter().copied())
-            }))
-            .map_err(|_| "index build panicked".to_string())?;
-            (
-                AnyIndex::Heap(idx),
-                build_start.elapsed().as_micros() as u64,
-            )
-        }
-    };
+    }))
+    .map_err(|_| "snapshot verification panicked".to_string())??;
+    // Build phase, also under `catch_unwind`: what it costs to stand up
+    // the query structures over trusted bytes. v2 pays a full index
+    // rebuild here; v3 only counts the shared overlay's `/32`s that the
+    // file shadows, which is why v3 reloads report near-zero `build_us`
+    // independent of map size.
+    let build_start = Instant::now();
+    let next = catch_unwind(AssertUnwindSafe(|| {
+        index_over(bytes, verified, &shared.overlay)
+    }))
+    .map_err(|_| "index build panicked".to_string())?;
+    let build_us = build_start.elapsed().as_micros() as u64;
     let routers = next.num_routers();
     let links = next.num_links();
     let swap_start = Instant::now();
@@ -1113,12 +1104,12 @@ fn reload_once(shared: &Shared, source: &ReloadSource<'_>) -> Result<Response, S
     // generation — as one swapped unit; see [`ReloadInfo`].
     let store_generation =
         store_gen.unwrap_or_else(|| shared.reload_info.load_locked().store_generation);
-    shared.publish_reload(ReloadInfo {
+    shared.reload_info.store(Arc::new(ReloadInfo {
         generation,
         store_generation,
         build_us,
         swap_us,
-    });
+    }));
     shared.metrics.reloads.inc();
     Ok(Response::Reloaded {
         generation,

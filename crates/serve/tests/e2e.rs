@@ -7,7 +7,10 @@
 //! saturated accept queue sheds with `Overload` instead of queueing
 //! without bound.
 
-use bdrmap_core::{snapshot, BdrmapConfig, BorderMap, QueryIndex};
+use bdrmap_core::{
+    snapshot, BdrmapConfig, BorderMap, Heuristic, InferredLink, InferredRouter, QueryIndex,
+    SnapStore,
+};
 use bdrmap_eval::Scenario;
 use bdrmap_serve::{
     loadgen, queries_for_map, Client, LinkInfo, LoadgenConfig, Request, Response, ServeConfig,
@@ -15,6 +18,9 @@ use bdrmap_serve::{
 };
 use bdrmap_topo::TopoConfig;
 use bdrmap_types::wire::{read_frame, MAX_FRAME};
+use bdrmap_types::{addr, Asn};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn infer(seed: u64, vp: usize) -> BorderMap {
@@ -440,4 +446,154 @@ fn concurrent_reloads_never_tear_the_stats_triple_impl(backend: ServerBackend) {
 
     server.shutdown();
     std::fs::remove_file(&snap).ok();
+}
+
+/// A synthetic map of `routers` routers, each owned by `64500 + salt`,
+/// so any owner answer names the generation served.
+fn bulk_map(routers: u32, salt: u32) -> BorderMap {
+    let iface = |i: u32| addr(0x0A00_0000 + 2 * i);
+    BorderMap {
+        routers: (0..routers)
+            .map(|i| InferredRouter {
+                addrs: vec![iface(i), addr(0x0A00_0000 + 2 * i + 1)],
+                other_addrs: vec![],
+                owner: Some(Asn(64500 + salt)),
+                heuristic: Some(Heuristic::OneNet),
+                min_hop: 1,
+            })
+            .collect(),
+        links: (0..routers / 2)
+            .map(|i| InferredLink {
+                near: 2 * i as usize,
+                far: Some(2 * i as usize + 1),
+                far_as: Asn(64500 + salt),
+                near_addr: Some(iface(2 * i)),
+                far_addr: Some(iface(2 * i + 1)),
+                heuristic: Heuristic::OneNet,
+            })
+            .collect(),
+        packets: u64::from(salt),
+        elapsed_ms: 0,
+    }
+}
+
+/// Reloads are serialised from load to swap. Several clients send
+/// store `Reload`s to a multi-worker server while a writer publishes
+/// generations that alternate between a large map (slow to load) and a
+/// small one (fast). Unserialised, a reload still loading a large
+/// generation would swap it in after a later reload had already served
+/// the next, small one. Every reloading client and a `Health` poller
+/// must see the generation never go back, and the server must end up
+/// serving the newest generation.
+#[test]
+fn concurrent_store_reloads_never_regress_the_generation() {
+    for backend in backends() {
+        concurrent_store_reloads_never_regress_the_generation_impl(backend);
+    }
+}
+
+fn concurrent_store_reloads_never_regress_the_generation_impl(backend: ServerBackend) {
+    const NEWEST: u32 = 16;
+    let routers = |salt: u32| if salt % 2 == 1 { 20_000 } else { 200 };
+    let dir = std::env::temp_dir().join(format!(
+        "bdrmap-serve-e2e-reload-race-{backend}-{}",
+        std::process::id()
+    ));
+    std::fs::remove_dir_all(&dir).ok();
+    let store = SnapStore::open(&dir).unwrap();
+    assert_eq!(store.publish(&bulk_map(routers(1), 1)).unwrap(), 1);
+    let server = Server::start_from_store(
+        &dir,
+        ServeConfig {
+            workers: 4,
+            queue: 64,
+            backend,
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let server_addr = server.local_addr();
+    let done = Arc::new(AtomicBool::new(false));
+
+    let reloaders: Vec<_> = (0..3)
+        .map(|_| {
+            let done = Arc::clone(&done);
+            std::thread::spawn(move || {
+                let mut client = Client::connect(&server_addr).unwrap();
+                let mut seen = Vec::new();
+                loop {
+                    // Read the flag first: the round after the writer
+                    // finished reloads the newest generation.
+                    let last = done.load(Ordering::SeqCst);
+                    match client.call(&Request::Reload(String::new())).unwrap() {
+                        Response::Reloaded { .. } => {}
+                        other => panic!("store reload answered with {other:?}"),
+                    }
+                    match client.call(&Request::Health).unwrap() {
+                        Response::Health(h) => seen.push(h.generation),
+                        other => panic!("health answered with {other:?}"),
+                    }
+                    if last {
+                        return seen;
+                    }
+                }
+            })
+        })
+        .collect();
+    let poller = {
+        let done = Arc::clone(&done);
+        std::thread::spawn(move || {
+            let mut client = Client::connect(&server_addr).unwrap();
+            let mut seen = Vec::new();
+            while !done.load(Ordering::SeqCst) {
+                match client.call(&Request::Health).unwrap() {
+                    Response::Health(h) => seen.push(h.generation),
+                    other => panic!("health answered with {other:?}"),
+                }
+            }
+            seen
+        })
+    };
+
+    for salt in 2..=NEWEST {
+        let generation = store.publish(&bulk_map(routers(salt), salt)).unwrap();
+        assert_eq!(generation, u64::from(salt));
+    }
+    done.store(true, Ordering::SeqCst);
+
+    // The first step back in a sequence of observed generations.
+    let step_back = |seen: &[u64]| {
+        let i = seen.windows(2).position(|w| w[0] > w[1])?;
+        Some(format!(
+            "{} then {} at sample {} of {}",
+            seen[i],
+            seen[i + 1],
+            i + 1,
+            seen.len()
+        ))
+    };
+    let polled = poller.join().unwrap();
+    if let Some(back) = step_back(&polled) {
+        panic!("{backend}: the Health poller saw the generation go back: {back}");
+    }
+    for (c, h) in reloaders.into_iter().enumerate() {
+        let seen = h.join().unwrap();
+        if let Some(back) = step_back(&seen) {
+            panic!("{backend}: client {c} saw the generation go back: {back}");
+        }
+        assert_eq!(
+            seen.last(),
+            Some(&u64::from(NEWEST)),
+            "{backend}: client {c}"
+        );
+    }
+    assert_eq!(server.health().generation, u64::from(NEWEST));
+    let mut client = Client::connect(&server_addr).unwrap();
+    match client.call(&Request::Owner(addr(0x0A00_0000))).unwrap() {
+        Response::Owner(Some(ans)) => assert_eq!(ans.asn, Asn(64500 + NEWEST), "{backend}"),
+        other => panic!("owner query answered with {other:?}"),
+    }
+    drop(client);
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -8,23 +8,50 @@
 use std::ffi::OsString;
 use std::io::{self, Write};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Write `data` to `path` atomically *and durably*: the bytes land in a
 /// sibling temporary file first, are fsynced, renamed into place, and
 /// the parent directory is fsynced. A crash mid-write leaves either the
 /// old file or the new one, never a torn mix — and once this returns,
 /// a power loss cannot roll the rename back out of the directory.
+///
+/// Concurrent writers of the same path each use a temporary of their
+/// own, so the last rename wins whole; none of them fails or publishes
+/// another's half-written bytes.
 pub fn write_atomic(path: &Path, data: &[u8]) -> io::Result<()> {
-    let tmp = tmp_sibling(path);
-    {
+    let tmp = private_tmp(path);
+    let written = (|| {
         let mut f = std::fs::File::create(&tmp)?;
         f.write_all(data)?;
         // fsync the temp file *before* the rename: renaming first could
         // publish a name whose bytes are still only in the page cache.
         f.sync_all()?;
+        std::fs::rename(&tmp, path)
+    })();
+    if written.is_err() {
+        // The temporary's name is never reused, so nothing else would
+        // ever clear it.
+        let _ = std::fs::remove_file(&tmp);
     }
-    std::fs::rename(&tmp, path)?;
+    written?;
     sync_parent_dir(path)
+}
+
+/// The temporary [`write_atomic`] writes through: the [`tmp_sibling`]
+/// name plus this process's id and a per-process sequence number. A
+/// shared name would let two writers of one path (say, a snapshot
+/// store's publisher and a reader re-pointing the same manifest) rename
+/// each other's temporary away, failing the slower rename.
+fn private_tmp(path: &Path) -> OsString {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let mut tmp = tmp_sibling(path);
+    tmp.push(format!(
+        ".{}.{}",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    tmp
 }
 
 /// fsync the directory containing `path`, so the rename that just put
@@ -79,6 +106,37 @@ mod tests {
         let path = tmp_dir().join("b.bin");
         write_atomic(&path, b"data").unwrap();
         assert!(!Path::new(&tmp_sibling(&path)).exists());
+        let leftovers = std::fs::read_dir(tmp_dir())
+            .unwrap()
+            .filter(|e| {
+                let name = e.as_ref().unwrap().file_name();
+                name.to_string_lossy().starts_with("b.bin.tmp")
+            })
+            .count();
+        assert_eq!(leftovers, 0);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn concurrent_writers_of_one_path_all_succeed() {
+        let path = tmp_dir().join("c.bin");
+        let writers: Vec<_> = (0..4u8)
+            .map(|w| {
+                let path = path.clone();
+                std::thread::spawn(move || {
+                    for _ in 0..20 {
+                        write_atomic(&path, &[w; 64]).unwrap();
+                    }
+                })
+            })
+            .collect();
+        for h in writers {
+            h.join().unwrap();
+        }
+        // Whichever rename came last landed whole.
+        let got = std::fs::read(&path).unwrap();
+        assert_eq!(got.len(), 64);
+        assert!(got.iter().all(|&b| b == got[0]));
         std::fs::remove_file(&path).ok();
     }
 
